@@ -9,18 +9,16 @@ import repro.queries.{Q, Tables}
   *
   * Calibration knobs (kernelFactor, stageOverheadS, bandwidths in
   * [[CostParams]]) are set once here so the paper's shapes hold; see
-  * DESIGN.md §5 and EXPERIMENTS.md for paper-vs-measured values.
+  * DESIGN.md §5 for the target shapes, `jobs/` for the per-figure mains
+  * that print them, and `perfbench/` for the benchmark.
   */
 object Systems {
 
   /** Cluster preset for a worker count (paper §V: 4 × r6id.2xlarge,
     * 16/32 × r6id.xlarge).
     */
-  def costFor(workers: Int): CostParams = workers match {
-    case w if w <= 4 => CostParams.fourWorkers
-    case 16          => CostParams.sixteenWorkers
-    case _           => CostParams.thirtyTwoWorkers
-  }
+  def costFor(workers: Int): CostParams =
+    if (workers <= 4) CostParams.fourWorkers else CostParams.sixteenWorkers
 
   /** Quokka: dynamic pipelined execution + write-ahead lineage. The
     * dynamic strategy accumulates a few outputs per task (maximize-batch,
@@ -77,7 +75,4 @@ object EngineRunner {
 
   def resultDf(spark: SparkSession, rr: RunResult): DataFrame =
     Rows.toDf(spark, rr.schema, rr.rows)
-
-  /** Simulated seconds of a clean (no-failure) run. */
-  def time(cfg: EngineConfig, q: Q, t: Tables): Double = run(cfg, q, t).simSeconds
 }

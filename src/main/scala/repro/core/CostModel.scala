@@ -61,7 +61,8 @@ final case class CostParams(
 
 object CostParams {
   /** Paper cluster presets. Total vCPUs match the paper's configurations:
-    * 4 × r6id.2xlarge (8 vCPU), 16 × r6id.xlarge (4 vCPU), 32 × r6id.xlarge.
+    * 4 × r6id.2xlarge (8 vCPU), 16 × r6id.xlarge (4 vCPU), 32 × r6id.xlarge
+    * (same instance type as 16 workers, so it uses `sixteenWorkers`).
     * xlarge instances get half the NIC and NVMe bandwidth of 2xlarge, and
     * pay proportionally more per small shuffle object (the paper's
     * "HDFS efficiency markedly decreases with smaller partitions").
@@ -74,5 +75,4 @@ object CostParams {
     coresPerWorker = 4, netBytesPerS = 0.7e9, diskBytesPerS = 0.7e9,
     netMsgLatencyS = 0.0005, taskOverheadS = 0.006,
     storeBytesPerS = 2.2e8, storePutLatencyS = 0.018)
-  val thirtyTwoWorkers: CostParams = sixteenWorkers
 }

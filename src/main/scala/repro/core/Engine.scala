@@ -179,7 +179,7 @@ final class Engine(
   private[core] val held = mutable.ArrayBuffer.empty[HeldTask]
   private[core] final case class HeldTask(
     stage: Int, ch: Int, epoch: Int, seq: Int, rec: LineageRec,
-    slices: Vector[(Int, Array[R])], bytes: Long, readyAt: Double, markDone: Boolean)
+    slices: Vector[(Int, Array[R])], readyAt: Double, markDone: Boolean)
 
   private[core] var barrier = false
   private var finished = false
@@ -232,21 +232,16 @@ final class Engine(
       return
     }
     if (!stageReady(ch.stage)) return
-    val stage = stageOf(ch.stage)
-    stage.op match {
-      case InputOp(_, _) =>
-        if (ch.cursor < ch.myBatches.size) launchInputTask(ch)
-      case _: JoinOp =>
-        if (pollGateOpen(ch)) pickConsume(ch).foreach { case (u, k) =>
-          ch.nextPollAt = sim.now + cost.pollIntervalS
-          launchConsumeTask(ch, u, k)
-        }
-      case _: AggOp =>
+    stageOf(ch.stage).op match {
+      case _: InputOp =>
+        if (ch.cursor < ch.myBatches.size) execute(ch, ReadRec(ch.myBatches(ch.cursor)), replayMode = false)
+      case op =>
         if (pollGateOpen(ch)) pickConsume(ch) match {
           case Some((u, k)) =>
             ch.nextPollAt = sim.now + cost.pollIntervalS
-            launchConsumeTask(ch, u, k)
-          case None => if (readyToFlush(ch)) launchFlushTask(ch)
+            execute(ch, ConsumeRec(u._1, u._2, ch.consumed.getOrElse(u, 0), k), replayMode = false)
+          case None =>
+            if (op.isInstanceOf[AggOp] && readyToFlush(ch)) execute(ch, FlushRec, replayMode = false)
         }
     }
   }
@@ -304,9 +299,6 @@ final class Engine(
 
   // ---------------------------------------------------------------- kernels
 
-  private def runInputKernel(stage: Stage, batch: Array[R]): Array[R] =
-    stage.op.asInstanceOf[InputOp].fuse(batch)
-
   /** Symmetric hash join step: insert each row into its side's table, probe
     * the other side. Output multiset is independent of interleaving.
     */
@@ -352,49 +344,53 @@ final class Engine(
   private def runFlushKernel(ch: ChannelRt, op: AggOp): Array[R] =
     ch.agg.m.valuesIterator.map { case (keys, accs) => op.finish(keys, accs) }.toArray
 
-  // --------------------------------------------------------------- launches
+  // -------------------------------------------------------------- execution
 
-  private def launchInputTask(ch: ChannelRt): Unit = {
-    val stage = stageOf(ch.stage)
-    val bi = ch.myBatches(ch.cursor)
-    val batch = inputBatches(ch.stage)(bi)
-    ch.cursor += 1
-    val out = runInputKernel(stage, batch)
-    val cpu = cost.taskOverheadS +
-      cost.cpuS(batch.length, cost.scanNsPerRow, cfg.kernelFactor) +
-      cost.cpuS(out.length, cost.outNsPerRow, cfg.kernelFactor)
-    finishTask(ch, ReadRec(bi), out, cpu, replayMode = false)
+  /** Run the task that lineage record `rec` names on channel `ch`: its
+    * kernel, the cursor / consumed-watermark / flushed-flag update, and its
+    * CPU charge. Fresh tasks and replayed tasks run through here alike, so a
+    * replay retraces exactly what the original task did (paper §IV-C).
+    */
+  private def execute(ch: ChannelRt, rec: LineageRec, replayMode: Boolean): Unit = {
+    val (in, nsPerRow, out) = (stageOf(ch.stage).op, rec) match {
+      case (op: InputOp, ReadRec(b)) =>
+        val batch = inputBatches(ch.stage)(b)
+        ch.cursor += 1
+        (batch.length.toLong, cost.scanNsPerRow, op.fuse(batch))
+      case (op: JoinOp, c: ConsumeRec) =>
+        val rows = takeInputs(ch, c)
+        (rows.length.toLong, cost.joinNsPerRow, runJoinKernel(ch, op, c.uStage, rows))
+      case (op: AggOp, c: ConsumeRec) =>
+        val rows = takeInputs(ch, c)
+        runAggKernel(ch, op, rows)
+        (rows.length.toLong, cost.aggNsPerRow, Array.empty[R])
+      case (op: AggOp, FlushRec) =>
+        ch.flushed = true
+        (ch.agg.rows, cost.aggNsPerRow, runFlushKernel(ch, op))
+      case (op, r) => throw new IllegalStateException(s"$op cannot run $r")
+    }
+    finishTask(ch, rec, out, taskCpuS(in, nsPerRow, out.length), replayMode)
   }
 
-  private def launchConsumeTask(ch: ChannelRt, u: (Int, Int), k: Int): Unit = {
-    val stage = stageOf(ch.stage)
-    val from = ch.consumed.getOrElse(u, 0)
-    val rows = (from until from + k).toArray.flatMap { s =>
-      val slice = ch.mailbox.remove((u._1, u._2, s))
-      require(slice.isDefined, s"consuming unavailable slice ($u,$s) at ${ch.id}")
+  /** Remove the slices a consume task names from the mailbox and advance
+    * the consumed watermark past them.
+    */
+  private def takeInputs(ch: ChannelRt, c: ConsumeRec): Array[R] = {
+    val rows = (c.from until c.from + c.k).toArray.flatMap { s =>
+      val slice = ch.mailbox.remove((c.uStage, c.uCh, s))
+      require(slice.isDefined, s"consuming unavailable slice (${c.uStage},${c.uCh},$s) at ${ch.id}")
       slice.get
     }
-    ch.consumed(u) = from + k
-    val (out, nsPerRow) = stage.op match {
-      case op: JoinOp => (runJoinKernel(ch, op, u._1, rows), cost.joinNsPerRow)
-      case op: AggOp  => runAggKernel(ch, op, rows); (Array.empty[R], cost.aggNsPerRow)
-      case _ => throw new IllegalStateException("input stage in consume path")
-    }
-    val cpu = cost.taskOverheadS +
-      cost.cpuS(rows.length, nsPerRow, cfg.kernelFactor) +
-      cost.cpuS(out.length, cost.outNsPerRow, cfg.kernelFactor)
-    finishTask(ch, ConsumeRec(u._1, u._2, from, k), out, cpu, replayMode = false)
+    ch.consumed((c.uStage, c.uCh)) = c.from + c.k
+    rows
   }
 
-  private def launchFlushTask(ch: ChannelRt): Unit = {
-    val op = stageOf(ch.stage).op.asInstanceOf[AggOp]
-    val out = runFlushKernel(ch, op)
-    ch.flushed = true
-    val cpu = cost.taskOverheadS +
-      cost.cpuS(ch.agg.rows, cost.aggNsPerRow, cfg.kernelFactor) +
-      cost.cpuS(out.length, cost.outNsPerRow, cfg.kernelFactor)
-    finishTask(ch, FlushRec, out, cpu, replayMode = false)
-  }
+  /** CPU seconds of one task: launch overhead, kernel over `in` rows, and
+    * emitting `out` rows.
+    */
+  private[core] def taskCpuS(in: Long, nsPerRow: Double, out: Int): Double =
+    cost.taskOverheadS + cost.cpuS(in, nsPerRow, cfg.kernelFactor) +
+      cost.cpuS(out, cost.outNsPerRow, cfg.kernelFactor)
 
   /** Common task tail: charge CPU, then at CPU completion partition the
     * output, persist (backup/spool), push slices, and commit the lineage —
@@ -469,37 +465,20 @@ final class Engine(
       !workers(channels(plan.consumers(ch.stage).head)(d).worker).alive(sim.now)
     }
     if (deadDest && !replayMode) {
-      held += HeldTask(ch.stage, ch.ch, epoch, mySeq, rec, slices, bytes, persistEnd, markDone)
+      held += HeldTask(ch.stage, ch.ch, epoch, mySeq, rec, slices, persistEnd, markDone)
       return
     }
 
-    var lastNet = sim.now
-    if (isLast) {
-      // only the flush of the final aggregation carries the query result;
-      // its consume tasks produce no downstream output
-      if (rec == FlushRec) {
+    val lastNet =
+      if (!isLast) push(ch.worker, sim.now, ch.stage, ch.ch, mySeq, slices, epoch)
+      else if (rec == FlushRec) {
+        // only the flush of the final aggregation carries the query result;
+        // its consume tasks produce no downstream output
         val netEnd = w.net.use(sim.now, cost.netS(bytes))
-        lastNet = netEnd
         metrics.shuffleBytes += bytes
-        val rows = slices.head._2
-        sim.at(netEnd)(collectArrive(ch.ch, rows))
-      }
-    } else {
-      val consumerStage = plan.consumers(ch.stage).head
-      for ((d, rows) <- slices) {
-        val dest = channels(consumerStage)(d)
-        if (!replayMode || needsSlice(dest, ch.stage, ch.ch, mySeq)) {
-          val sbytes = rows.length.toLong * stage.schema.rowBytes
-          val netEnd =
-            if (dest.worker == ch.worker) math.max(sim.now, lastNet) + 1e-6
-            else w.net.use(sim.now, cost.netS(sbytes))
-          lastNet = math.max(lastNet, netEnd)
-          metrics.shuffleBytes += sbytes
-          val destWorkerAtSend = dest.worker
-          sim.at(netEnd)(sliceArrive(dest, destWorkerAtSend, ch.stage, ch.ch, mySeq, rows, epoch))
-        }
-      }
-    }
+        sim.at(netEnd)(collectArrive(ch.ch, slices.head._2))
+        netEnd
+      } else sim.now
 
     if (replayMode) {
       poke(ch)
@@ -540,26 +519,42 @@ final class Engine(
     */
   private def ensureDelivered(ch: ChannelRt, mySeq: Int, rec: LineageRec,
                               slices: Vector[(Int, Array[R])]): Unit = {
-    val stage = stageOf(ch.stage)
-    val w = workers(ch.worker)
     if (ch.stage == plan.last) {
       if (rec == FlushRec && collectNeeds(ch.ch)) {
         val rows = slices.head._2
-        val netEnd = w.net.use(sim.now, cost.netS(rows.length.toLong * stage.schema.rowBytes))
+        val netEnd = workers(ch.worker).net.use(sim.now,
+          cost.netS(rows.length.toLong * stageOf(ch.stage).schema.rowBytes))
         sim.at(netEnd)(collectArrive(ch.ch, rows))
       }
-    } else {
-      val consumerStage = plan.consumers(ch.stage).head
-      for ((d, rows) <- slices) {
-        val dest = channels(consumerStage)(d)
-        if (needsSlice(dest, ch.stage, ch.ch, mySeq) && workers(dest.worker).alive(sim.now)) {
-          val sbytes = rows.length.toLong * stage.schema.rowBytes
-          val netEnd = w.net.use(sim.now, cost.netS(sbytes))
-          val sentTo = dest.worker
-          sim.at(netEnd)(sliceArrive(dest, sentTo, ch.stage, ch.ch, mySeq, rows, ch.epoch))
-        }
+    } else push(ch.worker, sim.now, ch.stage, ch.ch, mySeq, slices, ch.epoch)
+  }
+
+  /** Send each slice of output `seq` of producer channel (ps, pc), from
+    * worker `src` no earlier than `at`, to the consumer channel that still
+    * needs it and is hosted on a live worker. A consumer on the sending
+    * worker skips the NIC. Every task push and every recovery re-push goes
+    * through here; for a fresh output every consumer needs its slice.
+    * Returns the last send-completion time (`at` if nothing was sent).
+    */
+  private[core] def push(src: Int, at: Double, ps: Int, pc: Int, seq: Int,
+                         slices: Vector[(Int, Array[R])], epoch: Int): Double = {
+    val rowBytes = stageOf(ps).schema.rowBytes
+    val consumers = channels(plan.consumers(ps).head)
+    var lastNet = at
+    for ((d, rows) <- slices) {
+      val dest = consumers(d)
+      if (needsSlice(dest, ps, pc, seq) && workers(dest.worker).alive(sim.now)) {
+        val sbytes = rows.length.toLong * rowBytes
+        val netEnd =
+          if (dest.worker == src) lastNet + 1e-6
+          else workers(src).net.use(at, cost.netS(sbytes))
+        lastNet = math.max(lastNet, netEnd)
+        metrics.shuffleBytes += sbytes
+        val sentTo = dest.worker
+        sim.at(netEnd)(sliceArrive(dest, sentTo, ps, pc, seq, rows, epoch))
       }
     }
+    lastNet
   }
 
   /** A destination still needs (prodStage, prodCh, seq) iff it has not
@@ -598,33 +593,14 @@ final class Engine(
     * instead of choosing inputs dynamically (paper §IV-C).
     */
   private def tryReplay(ch: ChannelRt): Unit = {
-    val (mySeq, rec) = ch.replay.head
-    val stage = stageOf(ch.stage)
-    rec match {
-      case ConsumeRec(us, uc, from, k) =>
-        val have = (from until from + k).forall(s => ch.mailbox.contains((us, uc, s)))
-        if (!have) return
-        ch.replay = ch.replay.tail
-        val rows = (from until from + k).toArray.flatMap(s => ch.mailbox.remove((us, uc, s)).get)
-        ch.consumed((us, uc)) = from + k
-        val (out, nsPerRow) = stage.op match {
-          case op: JoinOp => (runJoinKernel(ch, op, us, rows), cost.joinNsPerRow)
-          case op: AggOp  => runAggKernel(ch, op, rows); (Array.empty[R], cost.aggNsPerRow)
-          case _ => throw new IllegalStateException("input stage cannot replay ConsumeRec")
-        }
-        val cpu = cost.taskOverheadS +
-          cost.cpuS(rows.length, nsPerRow, cfg.kernelFactor) +
-          cost.cpuS(out.length, cost.outNsPerRow, cfg.kernelFactor)
-        finishTask(ch, rec, out, cpu, replayMode = true)
-      case FlushRec =>
-        ch.replay = ch.replay.tail
-        val op = stage.op.asInstanceOf[AggOp]
-        val out = runFlushKernel(ch, op)
-        ch.flushed = true
-        val cpu = cost.taskOverheadS + cost.cpuS(ch.agg.rows, cost.aggNsPerRow, cfg.kernelFactor)
-        finishTask(ch, rec, out, cpu, replayMode = true)
-      case ReadRec(_) =>
-        throw new IllegalStateException("input channels replay via re-read jobs, not the channel")
+    val rec = ch.replay.head._2
+    val ready = rec match {
+      case ConsumeRec(us, uc, from, k) => (from until from + k).forall(s => ch.mailbox.contains((us, uc, s)))
+      case _ => true
+    }
+    if (ready) {
+      ch.replay = ch.replay.tail
+      execute(ch, rec, replayMode = true)
     }
   }
 

@@ -132,21 +132,10 @@ object Recovery {
     */
   private def scheduleRePush(e: Engine, owner: Int, p: (Int, Int, Int),
                              slices: Vector[(Int, Array[R])], bytes: Long): Unit = {
-    import e.cfg.cost
     val (us, uc, s) = p
     e.metrics.repushJobs += 1
-    val w = e.workers(owner)
-    val consumerStage = e.plan.consumers(us).head
-    val dEnd = w.disk.use(e.sim.now, cost.diskS(bytes))
-    for ((d, rows) <- slices) {
-      val dest = e.channels(consumerStage)(d)
-      if (e.needsSlice(dest, us, uc, s)) {
-        val sbytes = rows.length.toLong * e.plan.stages(us).schema.rowBytes
-        val netEnd = w.net.use(dEnd, cost.netS(sbytes))
-        val sentTo = dest.worker
-        e.sim.at(netEnd)(e.sliceArrive(dest, sentTo, us, uc, s, rows, e.channels(us)(uc).epoch))
-      }
-    }
+    val dEnd = e.workers(owner).disk.use(e.sim.now, e.cfg.cost.diskS(bytes))
+    e.push(owner, dEnd, us, uc, s, slices, e.channels(us)(uc).epoch)
   }
 
   /** Fetch a spooled partition from the reliable store directly to each
@@ -190,26 +179,14 @@ object Recovery {
     val slices = e.sliceUp(stage, out)
     val bytes = out.length.toLong * stage.schema.rowBytes
     val w = e.workers(worker)
-    val cpu = cost.taskOverheadS +
-      cost.cpuS(batch.length, cost.scanNsPerRow, e.cfg.kernelFactor) +
-      cost.cpuS(out.length, cost.outNsPerRow, e.cfg.kernelFactor)
-    val cpuEnd = w.cpu.use(e.sim.now, cpu)
+    val cpuEnd = w.cpu.use(e.sim.now, e.taskCpuS(batch.length, cost.scanNsPerRow, out.length))
     e.sim.at(cpuEnd) {
-      if (e.workers(worker).alive(e.sim.now)) {
+      if (w.alive(e.sim.now)) {
         val dEnd = if (e.cfg.ft.upstreamBackup) {
           e.backups(p) = (worker, slices, bytes)
           w.disk.use(e.sim.now, cost.diskS(bytes))
         } else e.sim.now
-        val consumerStage = e.plan.consumers(us).head
-        for ((d, rows) <- slices) {
-          val dest = e.channels(consumerStage)(d)
-          if (e.needsSlice(dest, us, uc, s)) {
-            val sbytes = rows.length.toLong * stage.schema.rowBytes
-            val netEnd = w.net.use(dEnd, cost.netS(sbytes))
-            val sentTo = dest.worker
-            e.sim.at(netEnd)(e.sliceArrive(dest, sentTo, us, uc, s, rows, e.channels(us)(uc).epoch))
-          }
-        }
+        e.push(worker, dEnd, us, uc, s, slices, e.channels(us)(uc).epoch)
       }
     }
   }
@@ -223,19 +200,7 @@ object Recovery {
     for (h <- e.held) {
       val ch = e.channels(h.stage)(h.ch)
       if (ch.epoch == h.epoch && e.workers(ch.worker).alive(now)) {
-        val w = e.workers(ch.worker)
-        val consumerStage = e.plan.consumers(h.stage).head
-        var lastNet = now
-        for ((d, rows) <- h.slices) {
-          val dest = e.channels(consumerStage)(d)
-          if (e.needsSlice(dest, h.stage, h.ch, h.seq)) {
-            val sbytes = rows.length.toLong * e.plan.stages(h.stage).schema.rowBytes
-            val netEnd = w.net.use(now, cost.netS(sbytes))
-            lastNet = math.max(lastNet, netEnd)
-            val sentTo = dest.worker
-            e.sim.at(netEnd)(e.sliceArrive(dest, sentTo, h.stage, h.ch, h.seq, rows, ch.epoch))
-          }
-        }
+        val lastNet = e.push(ch.worker, now, h.stage, h.ch, h.seq, h.slices, ch.epoch)
         val gcsLat = if (e.cfg.staticLineage) 0.0 else cost.gcsTxnS
         e.scheduleCommit(ch, ch.epoch, h.seq, h.rec, h.markDone, h.slices,
           math.max(lastNet, h.readyAt) + gcsLat)

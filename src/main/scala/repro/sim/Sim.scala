@@ -56,8 +56,6 @@ final class Serial {
     free = start + dur
     free
   }
-
-  def freeAt: Double = free
 }
 
 /** A pool of `k` identical slots (CPU cores): each request occupies the
@@ -79,6 +77,4 @@ final class Slots(val k: Int) {
     free(best) = start + dur
     free(best)
   }
-
-  def earliestFree: Double = free.min
 }

@@ -45,12 +45,19 @@ class EngineModesSpec extends SparkSpec {
   }
 
   test("engine runs are deterministic: identical times and results") {
-    for (q <- Vector(TpchLite.q3, TpchLite.q9)) {
-      val a = EngineRunner.run(base, q, t)
-      val b = EngineRunner.run(base, q, t)
-      assert(a.simSeconds == b.simSeconds, s"${q.id} nondeterministic clock")
-      assert(TestUtil.canon(a.rows) == TestUtil.canon(b.rows))
-      assert(a.metrics.tasks == b.metrics.tasks)
+    // the kill case covers recovery: rewinds, replays and re-pushes
+    val q9Kill = Seq((1, EngineRunner.run(base, TpchLite.q9, t).simSeconds * 0.5))
+    for ((q, failures) <- Vector((TpchLite.q3, Nil), (TpchLite.q9, Nil), (TpchLite.q9, q9Kill))) {
+      val what = s"${q.id} failures=$failures"
+      val a = EngineRunner.run(base, q, t, failures)
+      val b = EngineRunner.run(base, q, t, failures)
+      if (failures.nonEmpty) assert(a.metrics.replayTasks > 0, s"$what: no recovery happened")
+      assert(a.simSeconds == b.simSeconds, s"$what: nondeterministic clock")
+      assert(TestUtil.canon(a.rows) == TestUtil.canon(b.rows), s"$what: results differ")
+      assert(a.metrics.tasks == b.metrics.tasks, s"$what: task counts differ")
+      assert(a.metrics.replayTasks == b.metrics.replayTasks, s"$what: replay counts differ")
+      assert(a.metrics.repushJobs == b.metrics.repushJobs, s"$what: re-push counts differ")
+      assert(a.gcsTxns == b.gcsTxns, s"$what: GCS transaction counts differ")
     }
   }
 

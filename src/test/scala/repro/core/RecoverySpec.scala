@@ -47,6 +47,8 @@ class RecoverySpec extends SparkSpec {
     assert(rr.metrics.replayTasks > 0, "no tasks replayed")
     assert(rr.metrics.recoveredPartitions > 0, "no partitions recovered")
     assert(rr.simSeconds > ref.simSeconds, "failure run not slower than clean run")
+    // re-pushed partitions are real network traffic
+    assert(rr.metrics.shuffleBytes > ref.metrics.shuffleBytes, "recovery pushes not counted as shuffle")
   }
 
   test("recovery re-reads lost input partitions data-parallel (q1, WAL)") {
