@@ -10,7 +10,7 @@ import repro.queries.Tables
   * `spark-submit --class repro.jobs.Fig6 repro.jar` or `sbt "runMain repro.jobs.Fig6"`.
   */
 object JobSession {
-  def spark(): SparkSession = SparkSession.builder
+  def spark(): SparkSession = SparkSession.builder()
     .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
     .appName("repro-jobs")
     .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))

@@ -62,22 +62,31 @@ private[core] final class WorkerRt(val id: Int, cores: Int) {
   def alive(t: Double): Boolean = t < deadAt
 }
 
-private[core] final class JoinState {
+/** The state variable of a stateful channel; `rows` is its size. */
+private[core] sealed abstract class OpState { var rows = 0L }
+
+private[core] final class JoinState extends OpState {
   val left = mutable.LinkedHashMap.empty[Any, mutable.ArrayBuffer[R]]
   val right = mutable.LinkedHashMap.empty[Any, mutable.ArrayBuffer[R]]
-  var rows = 0L
 }
 
-private[core] final class AggState {
+private[core] final class AggState extends OpState {
   val m = mutable.LinkedHashMap.empty[Any, (Vector[Any], Array[Long])]
-  var rows = 0L
+}
+
+private[core] object OpState {
+  /** Empty state of a channel running `op`; null for a stateless input stage. */
+  def fresh(op: StageOp): OpState = op match {
+    case _: InputOp => null
+    case _: JoinOp  => new JoinState
+    case _: AggOp   => new AggState
+  }
 }
 
 /** Runtime state of one channel (paper: one channel of a stage, hosted by
   * one TaskManager). `epoch` invalidates in-flight events across a rewind.
   */
-private[core] final class ChannelRt(val stage: Int, val ch: Int) {
-  var worker: Int = 0
+private[core] final class ChannelRt(val stage: Int, val ch: Int, var worker: Int, var state: OpState) {
   var epoch: Int = 0
   var seq: Int = 0
   var busy = false
@@ -86,17 +95,13 @@ private[core] final class ChannelRt(val stage: Int, val ch: Int) {
   val mailbox = mutable.HashMap.empty[(Int, Int, Int), Array[R]]
   var myBatches: Vector[Int] = Vector.empty
   var cursor = 0
-  var join: JoinState = null
-  var agg: AggState = null
   /** Pending (seq, lineage) entries to replay after a rewind. */
   var replay: List[(Int, LineageRec)] = Nil
   var stateRowsAtCkpt = 0L
   /** GCS poll gate: no consume task may launch before this time. */
   var nextPollAt = 0.0
   var pollWakeScheduled = false
-  def stateRows: Long = {
-    if (join != null) join.rows else if (agg != null) agg.rows else 0L
-  }
+  def stateRows: Long = if (state == null) 0L else state.rows
   def id: (Int, Int) = (stage, ch)
 }
 
@@ -114,6 +119,13 @@ final class Metrics {
   var ckptBytes = 0L
   var recoveredPartitions = 0L
 }
+
+/** A task whose downstream push hit a dead worker: its commit is withheld
+  * (Algorithm 1's "push results failed" branch) until recovery resolves it.
+  */
+private[core] final case class HeldTask(
+  stage: Int, ch: Int, epoch: Int, seq: Int, rec: LineageRec,
+  slices: Vector[(Int, Array[R])], readyAt: Double, markDone: Boolean)
 
 final case class RunResult(
   rows: Vector[R], schema: Sch, simSeconds: Double,
@@ -138,22 +150,24 @@ final class Engine(
   import cfg.cost
 
   private[core] val sim = new Sim
-  private[core] val workers = Vector.tabulate(cfg.workers)(new WorkerRt(_, cost.coresPerWorker))
+  /** Workers `0 until cfg.workers`, then the head node, which never fails. */
+  private[core] val workers = Vector.tabulate(cfg.workers + 1)(new WorkerRt(_, cost.coresPerWorker))
   private[core] val C = cfg.channels
   private[core] val gcs = new Gcs
   val metrics = new Metrics
 
   private[core] val channels: Vector[Vector[ChannelRt]] =
-    plan.stages.map(s => Vector.tabulate(C) { c =>
-      val ch = new ChannelRt(s.id, c)
-      ch.worker = c % cfg.workers
-      s.op match {
-        case _: JoinOp => ch.join = new JoinState
-        case _: AggOp  => ch.agg = new AggState
-        case _         =>
-      }
-      ch
-    })
+    plan.stages.map(s => Vector.tabulate(C)(c =>
+      new ChannelRt(s.id, c, c % cfg.workers, OpState.fresh(s.op))))
+
+  /** The query-result collector: the last stage's one-channel consumer,
+    * hosted on the head node. Its mailbox holds each last-stage flush.
+    */
+  private val collector = new ChannelRt(-1, 0, cfg.workers, null)
+
+  /** The channels each stage's output slices go to, indexed by slice. */
+  private[core] val downstream: Vector[Vector[ChannelRt]] =
+    plan.consumer.map(c => if (c < 0) Vector(collector) else channels(c))
 
   /** Global, replayable input batches per input stage ("files on S3"). */
   private[core] val inputBatches: Map[Int, Vector[Array[R]]] = plan.stages.collect {
@@ -173,19 +187,12 @@ final class Engine(
   private[core] val spool = mutable.HashMap.empty[(Int, Int, Int), (Vector[(Int, Array[R])], Long)]
   /** Content digest of each task's output — replay-identity invariant. */
   private[core] val outputHash = mutable.HashMap.empty[(Int, Int, Int), Long]
-  /** Tasks whose downstream push hit a dead worker: commit withheld
-    * (Algorithm 1's "push results failed" branch), resolved by recovery.
-    */
+  /** Tasks whose commit is withheld until recovery. */
   private[core] val held = mutable.ArrayBuffer.empty[HeldTask]
-  private[core] final case class HeldTask(
-    stage: Int, ch: Int, epoch: Int, seq: Int, rec: LineageRec,
-    slices: Vector[(Int, Array[R])], readyAt: Double, markDone: Boolean)
 
   private[core] var barrier = false
   private var finished = false
   private var finishT = 0.0
-  private val collectGot = mutable.HashSet.empty[Int]
-  private val collectRows = mutable.ArrayBuffer.empty[R]
   private val stageReady = Array.tabulate(plan.stages.size)(s =>
     cfg.mode == Pipelined || plan.stages(s).upstreams.isEmpty)
   private val stageDoneCount = Array.fill(plan.stages.size)(0)
@@ -201,7 +208,8 @@ final class Engine(
     if (m < 0) m + C else m
   }
 
-  private[core] def poke(ch: ChannelRt): Unit = { tryLaunch(ch); checkDone(ch) }
+  private[core] def poke(ch: ChannelRt): Unit =
+    if (ch eq collector) maybeFinish() else { tryLaunch(ch); checkDone(ch) }
 
   private[core] def pokeAll(): Unit =
     for (st <- channels; ch <- st) poke(ch)
@@ -302,8 +310,7 @@ final class Engine(
   /** Symmetric hash join step: insert each row into its side's table, probe
     * the other side. Output multiset is independent of interleaving.
     */
-  private def runJoinKernel(ch: ChannelRt, op: JoinOp, uStage: Int, rows: Array[R]): Array[R] = {
-    val st = ch.join
+  private def runJoinKernel(st: JoinState, op: JoinOp, uStage: Int, rows: Array[R]): Array[R] = {
     val out = mutable.ArrayBuffer.empty[R]
     val fromLeft = uStage == op.leftUp
     var i = 0
@@ -329,8 +336,7 @@ final class Engine(
     out.toArray
   }
 
-  private def runAggKernel(ch: ChannelRt, op: AggOp, rows: Array[R]): Unit = {
-    val st = ch.agg
+  private def runAggKernel(st: AggState, op: AggOp, rows: Array[R]): Unit = {
     var i = 0
     while (i < rows.length) {
       val r = rows(i)
@@ -341,8 +347,8 @@ final class Engine(
     }
   }
 
-  private def runFlushKernel(ch: ChannelRt, op: AggOp): Array[R] =
-    ch.agg.m.valuesIterator.map { case (keys, accs) => op.finish(keys, accs) }.toArray
+  private def runFlushKernel(st: AggState, op: AggOp): Array[R] =
+    st.m.valuesIterator.map { case (keys, accs) => op.finish(keys, accs) }.toArray
 
   // -------------------------------------------------------------- execution
 
@@ -352,22 +358,22 @@ final class Engine(
     * replay retraces exactly what the original task did (paper §IV-C).
     */
   private def execute(ch: ChannelRt, rec: LineageRec, replayMode: Boolean): Unit = {
-    val (in, nsPerRow, out) = (stageOf(ch.stage).op, rec) match {
-      case (op: InputOp, ReadRec(b)) =>
+    val (in, nsPerRow, out) = (stageOf(ch.stage).op, rec, ch.state) match {
+      case (op: InputOp, ReadRec(b), _) =>
         val batch = inputBatches(ch.stage)(b)
         ch.cursor += 1
         (batch.length.toLong, cost.scanNsPerRow, op.fuse(batch))
-      case (op: JoinOp, c: ConsumeRec) =>
+      case (op: JoinOp, c: ConsumeRec, st: JoinState) =>
         val rows = takeInputs(ch, c)
-        (rows.length.toLong, cost.joinNsPerRow, runJoinKernel(ch, op, c.uStage, rows))
-      case (op: AggOp, c: ConsumeRec) =>
+        (rows.length.toLong, cost.joinNsPerRow, runJoinKernel(st, op, c.uStage, rows))
+      case (op: AggOp, c: ConsumeRec, st: AggState) =>
         val rows = takeInputs(ch, c)
-        runAggKernel(ch, op, rows)
+        runAggKernel(st, op, rows)
         (rows.length.toLong, cost.aggNsPerRow, Array.empty[R])
-      case (op: AggOp, FlushRec) =>
+      case (op: AggOp, FlushRec, st: AggState) =>
         ch.flushed = true
-        (ch.agg.rows, cost.aggNsPerRow, runFlushKernel(ch, op))
-      case (op, r) => throw new IllegalStateException(s"$op cannot run $r")
+        (st.rows, cost.aggNsPerRow, runFlushKernel(st, op))
+      case (op, r, _) => throw new IllegalStateException(s"$op cannot run $r")
     }
     finishTask(ch, rec, out, taskCpuS(in, nsPerRow, out.length), replayMode)
   }
@@ -417,68 +423,62 @@ final class Engine(
     }
   }
 
-  private[core] def sliceUp(stage: Stage, out: Array[R]): Vector[(Int, Array[R])] = {
-    if (stage.id == plan.last) Vector((0, out)) // flush goes to the collector
-    else {
+  /** Partition a task's output into (consumer channel, rows) slices. The
+    * collector takes only the last stage's flush, whole; the last stage's
+    * consume tasks send it nothing.
+    */
+  private[core] def sliceUp(stage: Stage, rec: LineageRec, out: Array[R]): Vector[(Int, Array[R])] = {
+    if (stage.id != plan.last) {
       val parts = Array.fill(C)(mutable.ArrayBuffer.empty[R])
       out.foreach(r => parts(hashKey(stage.outKey(r))) += r)
       parts.toVector.zipWithIndex.map { case (b, i) => (i, b.toArray) }
+    } else if (rec == FlushRec) Vector((0, out))
+    else Vector.empty
+  }
+
+  /** Persist output `key` of a task run on `worker`: check replay identity
+    * (record the output's digest on the first run, compare it on every
+    * later one), then back the slices up to the worker's disk or spool them
+    * to the reliable store. Fresh tasks and recovery re-reads both persist
+    * here. Returns the time persisting completes.
+    */
+  private[core] def persist(key: (Int, Int, Int), worker: Int, out: Array[R],
+                            slices: Vector[(Int, Array[R])]): Double = {
+    val h = Rows.multisetHash(out)
+    val first = outputHash.getOrElseUpdate(key, h)
+    if (first != h) throw new IllegalStateException(
+      s"replay divergence at $key: $first vs $h — lineage replay is broken")
+    val bytes = out.length.toLong * stageOf(key._1).schema.rowBytes
+    val w = workers(worker)
+    var persistEnd = sim.now
+    if (cfg.ft.upstreamBackup) {
+      persistEnd = w.disk.use(sim.now, cost.diskS(bytes))
+      backups(key) = (worker, slices, bytes)
+      metrics.backupBytes += bytes
     }
+    if (cfg.ft.spooling) {
+      persistEnd = w.storeLink.use(sim.now, cost.storeS(bytes, downstream(key._1).size))
+      spool(key) = (slices, bytes)
+      metrics.spoolBytes += bytes
+    }
+    persistEnd
   }
 
   private def completeTask(ch: ChannelRt, epoch: Int, mySeq: Int, rec: LineageRec,
                            out: Array[R], replayMode: Boolean): Unit = {
     val stage = stageOf(ch.stage)
-    val w = workers(ch.worker)
-    val slices = sliceUp(stage, out)
-    val bytes = out.length.toLong * stage.schema.rowBytes
-
-    // replay-identity invariant: a replayed task must regenerate its output
-    val key = (ch.stage, ch.ch, mySeq)
-    outputHash.get(key) match {
-      case Some(h) =>
-        val h2 = Rows.multisetHash(out)
-        if (h != h2) throw new IllegalStateException(
-          s"replay divergence at $key: $h vs $h2 — lineage replay is broken")
-      case None => outputHash(key) = Rows.multisetHash(out)
-    }
-
-    // persist: upstream backup to local disk, or spool to the reliable store
-    var persistEnd = sim.now
-    if (cfg.ft.upstreamBackup) {
-      persistEnd = w.disk.use(sim.now, cost.diskS(bytes))
-      backups(key) = (ch.worker, slices, bytes)
-      metrics.backupBytes += bytes
-    }
-    if (cfg.ft.spooling) {
-      persistEnd = w.storeLink.use(sim.now, cost.storeS(bytes, slices.size))
-      spool(key) = (slices, bytes)
-      metrics.spoolBytes += bytes
-    }
-
-    val isLast = stage.id == plan.last
+    val slices = sliceUp(stage, rec, out)
+    val persistEnd = persist((ch.stage, ch.ch, mySeq), ch.worker, out, slices)
     val markDone = rec == FlushRec ||
       (stage.op.isInstanceOf[InputOp] && ch.cursor == ch.myBatches.size && mySeq == ch.myBatches.size - 1)
 
     // push downstream (Algorithm 1: abort commit if a destination is dead)
-    val deadDest = !isLast && slices.exists { case (d, _) =>
-      !workers(channels(plan.consumers(ch.stage).head)(d).worker).alive(sim.now)
-    }
+    val deadDest = slices.exists { case (d, _) => !workers(downstream(ch.stage)(d).worker).alive(sim.now) }
     if (deadDest && !replayMode) {
       held += HeldTask(ch.stage, ch.ch, epoch, mySeq, rec, slices, persistEnd, markDone)
       return
     }
-
-    val lastNet =
-      if (!isLast) push(ch.worker, sim.now, ch.stage, ch.ch, mySeq, slices, epoch)
-      else if (rec == FlushRec) {
-        // only the flush of the final aggregation carries the query result;
-        // its consume tasks produce no downstream output
-        val netEnd = w.net.use(sim.now, cost.netS(bytes))
-        metrics.shuffleBytes += bytes
-        sim.at(netEnd)(collectArrive(ch.ch, slices.head._2))
-        netEnd
-      } else sim.now
+    val lastNet = push(ch.worker, sim.now, ch.stage, ch.ch, mySeq, slices, epoch)
 
     if (replayMode) {
       poke(ch)
@@ -502,47 +502,30 @@ final class Engine(
         if (becameDone) onChannelDone(ch)
         // an arrival may have been dropped against a worker that died
         // between push and delivery — committed outputs must reach their
-        // (possibly reassigned) consumers
-        ensureDelivered(ch, mySeq, rec, slices)
+        // (possibly reassigned) consumers; on the normal path every
+        // arrival precedes the commit, so this sends nothing
+        push(ch.worker, sim.now, ch.stage, ch.ch, mySeq, slices, ch.epoch)
         // wake consumers (their inputs just became committed) and self
-        if (ch.stage != plan.last)
-          plan.consumers(ch.stage).foreach(cs => channels(cs).foreach(poke))
+        downstream(ch.stage).foreach(poke)
         poke(ch)
-        maybeFinish()
       }
     }
-  }
-
-  /** Re-push any slice of a just-committed task that its consumer does not
-    * have (covers pushes dropped in the failure window). No-op on the
-    * normal path: arrivals always precede the commit event.
-    */
-  private def ensureDelivered(ch: ChannelRt, mySeq: Int, rec: LineageRec,
-                              slices: Vector[(Int, Array[R])]): Unit = {
-    if (ch.stage == plan.last) {
-      if (rec == FlushRec && collectNeeds(ch.ch)) {
-        val rows = slices.head._2
-        val netEnd = workers(ch.worker).net.use(sim.now,
-          cost.netS(rows.length.toLong * stageOf(ch.stage).schema.rowBytes))
-        sim.at(netEnd)(collectArrive(ch.ch, rows))
-      }
-    } else push(ch.worker, sim.now, ch.stage, ch.ch, mySeq, slices, ch.epoch)
   }
 
   /** Send each slice of output `seq` of producer channel (ps, pc), from
     * worker `src` no earlier than `at`, to the consumer channel that still
     * needs it and is hosted on a live worker. A consumer on the sending
-    * worker skips the NIC. Every task push and every recovery re-push goes
-    * through here; for a fresh output every consumer needs its slice.
+    * worker skips the NIC. Every task push, every recovery re-push and the
+    * query result go through here; for a fresh output every consumer needs
+    * its slice.
     * Returns the last send-completion time (`at` if nothing was sent).
     */
   private[core] def push(src: Int, at: Double, ps: Int, pc: Int, seq: Int,
                          slices: Vector[(Int, Array[R])], epoch: Int): Double = {
     val rowBytes = stageOf(ps).schema.rowBytes
-    val consumers = channels(plan.consumers(ps).head)
     var lastNet = at
     for ((d, rows) <- slices) {
-      val dest = consumers(d)
+      val dest = downstream(ps)(d)
       if (needsSlice(dest, ps, pc, seq) && workers(dest.worker).alive(sim.now)) {
         val sbytes = rows.length.toLong * rowBytes
         val netEnd =
@@ -575,16 +558,6 @@ final class Engine(
     dest.mailbox.getOrElseUpdate((ps, pc, seq), rows)
     poke(dest)
   }
-
-  private def collectArrive(fromCh: Int, rows: Array[R]): Unit = {
-    if (!collectGot.contains(fromCh)) {
-      collectGot += fromCh
-      collectRows ++= rows
-    }
-    maybeFinish()
-  }
-
-  private[core] def collectNeeds(fromCh: Int): Boolean = !collectGot.contains(fromCh)
 
   // ----------------------------------------------------------------- replay
 
@@ -626,25 +599,25 @@ final class Engine(
     val sid = ch.stage
     stageDoneCount(sid) += 1
     if (stageDoneCount(sid) == C) onStageDone(sid)
-    if (sid != plan.last) plan.consumers(sid).foreach(cs => channels(cs).foreach(poke))
-    maybeFinish()
+    downstream(sid).foreach(poke)
   }
 
   private def onStageDone(sid: Int): Unit = {
-    if (cfg.mode == Stagewise) {
-      for (cs <- plan.consumers(sid)) {
-        if (stageOf(cs).upstreams.forall(u => stageDoneCount(u) == C) && !stageReady(cs)) {
-          sim.after(cfg.stageOverheadS) {
-            stageReady(cs) = true
-            channels(cs).foreach(poke)
-          }
-        }
+    val cs = plan.consumer(sid)
+    if (cfg.mode == Stagewise && cs >= 0 &&
+        stageOf(cs).upstreams.forall(u => stageDoneCount(u) == C) && !stageReady(cs)) {
+      sim.after(cfg.stageOverheadS) {
+        stageReady(cs) = true
+        channels(cs).foreach(poke)
       }
     }
   }
 
+  /** The run finishes once the collector holds every last-stage flush and
+    * every last-stage channel is done.
+    */
   private def maybeFinish(): Unit = {
-    if (!finished && collectGot.size == C &&
+    if (!finished && collector.mailbox.size == C &&
         (0 until C).forall(c => gcs.channelDone((plan.last, c)))) {
       finished = true
       finishT = sim.now
@@ -677,7 +650,7 @@ final class Engine(
         }
         sim.after(interval)(tick(ch))
       }
-      for (st <- channels; ch <- st if ch.join != null || ch.agg != null)
+      for (st <- channels; ch <- st if ch.state != null)
         sim.after(interval)(tick(ch))
     case _ =>
   }
@@ -725,8 +698,9 @@ final class Engine(
         s"busy=${ch.busy} replay=${ch.replay.size} worker=${ch.worker} " +
         s"consumed=${ch.consumed.toMap} mbox=${ch.mailbox.size}"
       throw new IllegalStateException(
-        s"engine deadlock in ${plan.name}: collect=${collectGot.size}/$C\n" + undone.mkString("\n"))
+        s"engine deadlock in ${plan.name}: collect=${collector.mailbox.size}/$C\n" + undone.mkString("\n"))
     }
-    RunResult(collectRows.toVector, plan.resultSchema, finishT, metrics, gcs.txns, gcs.lineageBytes)
+    val rows = collector.mailbox.toVector.sortBy(_._1).flatMap(_._2)
+    RunResult(rows, plan.resultSchema, finishT, metrics, gcs.txns, gcs.lineageBytes)
   }
 }

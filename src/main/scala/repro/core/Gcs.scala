@@ -54,10 +54,6 @@ final class Gcs {
     recs.getOrElse((stage, chan, seq),
       throw new NoSuchElementException(s"no committed lineage for ($stage,$chan,$seq)"))
 
-  /** Committed lineage records of a channel, in seq order. */
-  def channelLog(ch: Ch): Vector[LineageRec] =
-    (0 until committedCount(ch)).map(s => rec(ch._1, ch._2, s)).toVector
-
   def channelDone(ch: Ch): Boolean = done.contains(ch)
 
   private val pendingDone = mutable.HashMap.empty[Ch, Int]

@@ -51,12 +51,7 @@ final case class Stage(
   upstreams: Vector[Int],
   schema: Sch,
   outKey: R => Any,
-) {
-  def stateful: Boolean = op match {
-    case _: InputOp => false
-    case _          => true
-  }
-}
+)
 
 /** A compiled query plan: stages in topological order (upstreams < id),
   * the last stage is always an AggOp whose flush is the query result.
@@ -72,21 +67,24 @@ final case class Plan(stages: Vector[Stage], name: String) {
   val last: Int = stages.last.id
   def resultSchema: Sch = stages.last.schema
 
-  /** Direct consumers of each stage (at most one in our tree-shaped plans). */
-  val consumers: Vector[Vector[Int]] = {
-    val m = Array.fill(stages.size)(Vector.empty[Int])
-    stages.foreach(s => s.upstreams.foreach(u => m(u) :+= s.id))
-    m.toVector
-  }
+  /** The one consumer stage of each stage; -1 for the last stage, whose
+    * flush goes to the head-node collector.
+    */
+  val consumer: Vector[Int] = stages.map(s => stages.indexWhere(_.upstreams.contains(s.id)))
+  require(consumer.init.forall(_ >= 0), s"plan $name has a stage that feeds no consumer")
 }
+
+/** A stage declared to [[PlanBuilder]], whose partitioning key is set once
+  * its consumer is declared.
+  */
+private final case class Pending(
+  op: StageOp, upstreams: Vector[Int], schema: Sch, var outKey: R => Any)
 
 /** Imperative builder for tree-shaped plans. Partitioning keys of producer
   * stages are fixed when their consumer is declared (a producer partitions
   * its output by the consumer's key for that side).
   */
 final class PlanBuilder(val name: String) {
-  private final case class Pending(
-    op: StageOp, upstreams: Vector[Int], schema: Sch, var outKey: R => Any)
   private val buf = scala.collection.mutable.ArrayBuffer.empty[Pending]
 
   def input(table: String, schema: Sch)(fuse: Array[R] => Array[R]): Int = {

@@ -29,7 +29,6 @@ import scala.collection.mutable
 object Recovery {
 
   def plan(e: Engine): Unit = {
-    import e.cfg.cost
     val now = e.sim.now
     if (e.cfg.ft == NoFt)
       throw new IllegalStateException(
@@ -39,7 +38,8 @@ object Recovery {
       st <- e.channels; ch <- st if !e.workers(ch.worker).alive(now)
     } yield ch
 
-    val live = e.workers.filter(_.alive(now)).map(_.id)
+    // the head node hosts only the collector: it takes no rewound channel
+    val live = (0 until e.cfg.workers).filter(e.workers(_).alive(now))
     require(live.nonEmpty, "all workers dead")
     var rr = e.rng.nextInt(live.size)
     def nextWorker(): Int = { val w = live(rr % live.size); rr += 1; w }
@@ -66,8 +66,7 @@ object Recovery {
       var s = cc
       while (s < ch.seq) {
         e.outputHash.remove((ch.stage, ch.ch, s))
-        for (cs <- e.plan.consumers(ch.stage); dch <- e.channels(cs))
-          dch.mailbox.remove((ch.stage, ch.ch, s))
+        for (dch <- e.downstream(ch.stage)) dch.mailbox.remove((ch.stage, ch.ch, s))
         s += 1
       }
       e.plan.stages(ch.stage).op match {
@@ -75,11 +74,8 @@ object Recovery {
           // stateless: committed reads are recovered data-parallel below;
           // the channel itself resumes with its remaining batches
           ch.cursor = cc; ch.seq = cc; ch.replay = Nil
-        case _: JoinOp =>
-          ch.join = new JoinState; ch.seq = 0
-          ch.replay = (0 until cc).map(s => (s, e.gcs.rec(ch.stage, ch.ch, s))).toList
-        case _: AggOp =>
-          ch.agg = new AggState; ch.seq = 0
+        case op =>
+          ch.state = OpState.fresh(op); ch.seq = 0
           ch.replay = (0 until cc).map(s => (s, e.gcs.rec(ch.stage, ch.ch, s))).toList
       }
     }
@@ -145,9 +141,8 @@ object Recovery {
     import e.cfg.cost
     val (us, uc, s) = p
     val (slices, _) = e.spool(p)
-    val consumerStage = e.plan.consumers(us).head
     for ((d, rows) <- slices) {
-      val dest = e.channels(consumerStage)(d)
+      val dest = e.downstream(us)(d)
       if (e.needsSlice(dest, us, uc, s)) {
         val sbytes = rows.length.toLong * e.plan.stages(us).schema.rowBytes
         val w = e.workers(dest.worker)
@@ -160,33 +155,26 @@ object Recovery {
 
   /** Re-execute a lost input read on an arbitrary live worker (input tasks
     * are stateless, so these recover data-parallel across the cluster).
+    * A re-read persists and pushes like the original task, but runs beside
+    * its channel, whose cursor and sequence it must not move.
     */
   private def scheduleReRead(e: Engine, p: (Int, Int, Int), worker: Int): Unit = {
-    import e.cfg.cost
     val (us, uc, s) = p
     e.metrics.rereadJobs += 1
     val stage = e.plan.stages(us)
-    val batchIdx = e.gcs.rec(us, uc, s) match {
-      case ReadRec(b) => b
+    val rec = e.gcs.rec(us, uc, s)
+    val batch = rec match {
+      case ReadRec(b) => e.inputBatches(us)(b)
       case other => throw new IllegalStateException(s"input lineage of $p is $other")
     }
-    val batch = e.inputBatches(us)(batchIdx)
     val out = stage.op.asInstanceOf[InputOp].fuse(batch)
-    val h = Rows.multisetHash(out)
-    e.outputHash.get(p).foreach { prev =>
-      if (prev != h) throw new IllegalStateException(s"re-read divergence at $p")
-    }
-    val slices = e.sliceUp(stage, out)
-    val bytes = out.length.toLong * stage.schema.rowBytes
+    val slices = e.sliceUp(stage, rec, out)
     val w = e.workers(worker)
-    val cpuEnd = w.cpu.use(e.sim.now, e.taskCpuS(batch.length, cost.scanNsPerRow, out.length))
+    val cpuEnd = w.cpu.use(e.sim.now, e.taskCpuS(batch.length, e.cfg.cost.scanNsPerRow, out.length))
     e.sim.at(cpuEnd) {
       if (w.alive(e.sim.now)) {
-        val dEnd = if (e.cfg.ft.upstreamBackup) {
-          e.backups(p) = (worker, slices, bytes)
-          w.disk.use(e.sim.now, cost.diskS(bytes))
-        } else e.sim.now
-        e.push(worker, dEnd, us, uc, s, slices, e.channels(us)(uc).epoch)
+        val persistEnd = e.persist(p, worker, out, slices)
+        e.push(worker, persistEnd, us, uc, s, slices, e.channels(us)(uc).epoch)
       }
     }
   }

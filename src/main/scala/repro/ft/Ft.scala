@@ -48,6 +48,10 @@ case object Spool extends Ft {
   * `incremental` checkpoints only the state delta since the previous
   * checkpoint; otherwise the full state is serialized each time — the
   * O(N^2) storage cost the paper describes for growing join state.
+  *
+  * This models checkpoint overhead only: recovery never reads a
+  * checkpoint, and a rewound channel replays its lineage from seq 0 as
+  * under [[Wal]].
   */
 final case class Ckpt(intervalS: Double, incremental: Boolean) extends Ft {
   val spooling = false; val stateCheckpoint = true; val lineage = true

@@ -2,6 +2,9 @@ package repro.sim
 
 import scala.collection.mutable
 
+/** One scheduled event of a [[Sim]]. */
+private final case class Ev(time: Double, seq: Long, thunk: () => Unit)
+
 /** Deterministic discrete-event simulator.
   *
   * Events are (time, insertion-seq) ordered, so runs are exactly
@@ -10,7 +13,6 @@ import scala.collection.mutable
   * event thunks on a single thread.
   */
 final class Sim {
-  private final case class Ev(time: Double, seq: Long, thunk: () => Unit)
   private implicit val ord: Ordering[Ev] =
     Ordering.by[Ev, (Double, Long)](e => (e.time, e.seq)).reverse
   private val pq = mutable.PriorityQueue.empty[Ev]
@@ -39,8 +41,6 @@ final class Sim {
       if (n > maxEvents) throw new IllegalStateException(s"Sim exceeded $maxEvents events")
     }
   }
-
-  def pendingEvents: Int = pq.size
 }
 
 /** A serially-used resource (NVMe queue, NIC uplink, S3 uplink):

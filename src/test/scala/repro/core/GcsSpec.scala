@@ -40,12 +40,12 @@ class GcsSpec extends AnyFunSuite {
     assert(g.channelDone((3, 1)))
   }
 
-  test("channelLog returns records in sequence order") {
+  test("rec returns committed records by sequence number") {
     val g = new Gcs
     g.commit(0, 2, 0, ReadRec(0))
     g.commit(0, 2, 1, ReadRec(3))
     g.commit(0, 2, 2, ReadRec(6))
-    assert(g.channelLog((0, 2)) == Vector(ReadRec(0), ReadRec(3), ReadRec(6)))
+    for ((s, b) <- Vector(0 -> 0, 1 -> 3, 2 -> 6)) assert(g.rec(0, 2, s) == ReadRec(b))
   }
 
   test("rec throws for uncommitted lineage") {

@@ -19,9 +19,8 @@ class PlanSpec extends AnyFunSuite {
     val p = b.build()
     assert(p.stages.size == 4)
     assert(p.stages(0).outKey != null && p.stages(1).outKey != null)
-    assert(p.consumers(0) == Vector(2) && p.consumers(2) == Vector(3))
+    assert(p.consumer == Vector(2, 2, 3, -1))
     assert(p.last == 3)
-    assert(!p.stages(0).stateful && p.stages(2).stateful)
   }
 
   test("a stage cannot feed two consumers") {

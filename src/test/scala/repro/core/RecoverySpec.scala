@@ -61,11 +61,17 @@ class RecoverySpec extends SparkSpec {
   }
 
   test("failure near query start and near query end both recover (q5, WAL)") {
-    val q = TpchLite.q5
-    val ref = clean(base, q)
-    for (frac <- Vector(0.05, 0.9)) {
-      val rr = EngineRunner.run(base, q, t, failures = Seq((1, ref.simSeconds * frac)))
-      assert(TestUtil.canon(rr.rows) == TestUtil.canon(ref.rows), s"frac=$frac wrong result")
+    // a kill 1 ms before the clean finish rewinds last-stage channels whose
+    // flush has already reached the collector
+    val cases: Vector[(String, EngineConfig, Q, Double => Double)] = Vector(
+      ("q5/quokka-wal at 5%", base, TpchLite.q5, _ * 0.05),
+      ("q5/quokka-wal at 90%", base, TpchLite.q5, _ * 0.9),
+      ("q1/spark-like 1 ms before the end", systems.toMap.apply("spark-like"), TpchLite.q1, _ - 0.001))
+    for ((what, cfg, q, killAt) <- cases) {
+      val ref = clean(cfg, q)
+      val rr = EngineRunner.run(cfg, q, t, failures = Seq((1, killAt(ref.simSeconds))))
+      assert(TestUtil.canon(rr.rows) == TestUtil.canon(ref.rows), s"$what: wrong result")
+      assert(rr.metrics.rewoundChannels > 0, s"$what: no channels rewound")
     }
   }
 

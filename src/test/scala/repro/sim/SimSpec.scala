@@ -75,13 +75,4 @@ class SimSpec extends AnyFunSuite {
   test("Slots requires positive capacity") {
     assertThrows[IllegalArgumentException](new Slots(0))
   }
-
-  test("pendingEvents reflects the queue") {
-    val sim = new Sim
-    sim.at(1.0)(())
-    sim.at(2.0)(())
-    assert(sim.pendingEvents == 2)
-    sim.run()
-    assert(sim.pendingEvents == 0)
-  }
 }
